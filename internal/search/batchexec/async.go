@@ -29,10 +29,14 @@ import (
 // the lockstep scheduler's inline fallback.
 
 // chunkTask is one chunk's decode task: its current subscribers, the
-// wave being processed, and whether the task is queued or running.
+// wave being processed, and whether the task is queued or running. Each
+// buffer keeps one role for the life of the arena, so one run grows both
+// to steady-state capacity and later runs allocate nothing; swapping
+// them per wave would flip which buffer takes which wave from run to
+// run, and the smaller one would regrow.
 type chunkTask struct {
 	subs []int32 // query states waiting for this chunk (guarded by mu)
-	proc []int32 // wave owned by the current processor
+	proc []int32 // copy of the wave, owned by the current processor
 	busy bool    // queued or running (guarded by mu)
 	mu   sync.Mutex
 }
@@ -106,13 +110,15 @@ func (a *arena) runTask(ws *workerScratch, c int32) {
 	}
 }
 
-// processTask claims the task's current subscriber wave and processes
-// the chunk for all of them. If new subscribers arrived meanwhile the
-// task re-queues itself for the next wave; otherwise it goes idle.
+// processTask copies the task's current subscriber wave out under the
+// lock and processes the chunk for all of them. If new subscribers
+// arrived meanwhile the task re-queues itself for the next wave;
+// otherwise it goes idle.
 func (a *arena) processTask(ws *workerScratch, c int32) {
 	t := &a.tasks[c]
 	t.mu.Lock()
-	t.subs, t.proc = t.proc[:0], t.subs
+	t.proc = append(t.proc[:0], t.subs...)
+	t.subs = t.subs[:0]
 	members := t.proc
 	t.mu.Unlock()
 
